@@ -192,6 +192,7 @@ def _sweep():
     )
     payload = {
         "smoke": SMOKE,
+        "cpu_count": os.cpu_count() or 1,
         "counter_per_op_ops_per_sec": round(ops_serial, 1),
         "counter_batched_ops_per_sec": round(ops_batched, 1),
         "counter_batched_speedup": round(t_serial / t_batched, 2),

@@ -10,7 +10,8 @@ rides on:
   scalar path pays one full-block cutoff scan *per page* while the
   batched path shares a single mask;
 - block-RBER measurements per second (``measure_block_rber``, one
-  materialization per call) vs. the per-page scalar loop it replaced;
+  chunked sense-and-compare pass per call) vs. the per-page scalar loop
+  it replaced;
 - blocks programmed per second (``program_random`` one-pass sampling vs.
   the per-wordline loop).
 
@@ -129,6 +130,7 @@ def _sweep():
     rows = []
     payload = {
         "smoke": SMOKE,
+        "cpu_count": os.cpu_count() or 1,
         "wordlines_per_block": GEOMETRY.wordlines_per_block,
         "bitlines_per_block": GEOMETRY.bitlines_per_block,
         "pe_cycles": PE_CYCLES,

@@ -247,7 +247,7 @@ class FlashChipBackend:
        the same sensed data, so one decode per page per flush is the
        exact per-op semantics at a fraction of the cost) — one
        :meth:`EccDecoder.check_pages` call per block, sensing every page
-       against a single materialization of the block's voltages;
+       in one chunked sense-and-compare pass over the block;
     3. **merge** — fold the outcomes into the shared counters in
        ascending block order; on an uncorrectable page, run Read Disturb
        Recovery on the wordline; if the post-RDR error count fits the
@@ -505,10 +505,10 @@ class FlashChipBackend:
         (:meth:`_sense_and_decode` — one
         :meth:`~repro.flash.block.FlashBlock.record_reads` bulk disturb
         charge and one :meth:`~repro.ecc.decoder.EccDecoder.check_pages`
-        sensing every unique programmed page against a single voltage
-        materialization), and finally a deterministic merge in ascending
-        block order (:meth:`_merge_outcomes` — shared counters and RDR
-        escalation).
+        sensing every unique programmed page in one cache-blocked pass
+        that materializes each sensed wordline once), and finally a
+        deterministic merge in ascending block order
+        (:meth:`_merge_outcomes` — shared counters and RDR escalation).
 
         **Bit-identity.**  Decode granularity is *per flush*: repeated
         reads of a page within one flush sense identical data, so one
@@ -523,10 +523,11 @@ class FlashChipBackend:
         bits as ``executor="serial"``
         (``tests/controller/test_block_executor.py``).
 
-        **Cache precondition.**  Assumes *ppns* were resolved against
+        **Mapping precondition.**  Assumes *ppns* were resolved against
         the mapping current at flush time (the engine flushes before any
-        relocation moves data); the voltage cache is managed by the
-        block's own epoch bumps.
+        relocation moves data).  Decoding bypasses the blocks' voltage
+        caches: the disturb charge just before it bumps the epoch, so a
+        cached materialization could never be reused there.
 
         **Process dispatch.**  Under a multi-worker
         :class:`~repro.controller.executor.ProcessExecutor` the tasks

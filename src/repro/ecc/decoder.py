@@ -305,7 +305,9 @@ class EccDecoder:
         (:meth:`~repro.flash.block.FlashBlock.page_error_counts`); the RS
         engine takes the underlying error *positions*
         (:meth:`~repro.flash.block.FlashBlock.page_error_masks`) and
-        decodes them — both share a single voltage materialization.
+        decodes them — both run the block's one chunked
+        sense-and-compare kernel, which materializes each wordline once
+        per call.
 
         **Bit-identity.**  Results equal a non-recording
         :meth:`check_page` loop over *pages*; every page is sensed at
@@ -313,10 +315,8 @@ class EccDecoder:
         disturb after sensing — the flush-granular contract of
         :meth:`~repro.controller.backends.FlashChipBackend.on_reads`).
 
-        **Cache precondition.**  Inherits the block's ``(now,
-        voltage_epoch)`` cache contract: out-of-band cell mutations need
-        :meth:`~repro.flash.block.FlashBlock.invalidate_voltage_cache`
-        before decoding.
+        Sensing bypasses the block's ``(now, voltage_epoch)`` voltage
+        cache, so decoding always sees the block's current cell state.
         """
         kwargs = {} if vpass is None else {"vpass": vpass}
         if self._rs is not None:

@@ -33,7 +33,7 @@ from repro.flash.sensing import (
     sense_pages,
     sense_states,
 )
-from repro.flash.state import MlcState, states_from_bits
+from repro.flash.state import MlcState, lsb_of_state, msb_of_state, states_from_bits
 from repro.physics import constants
 from repro.physics.read_disturb import DEFAULT_READ_DISTURB, vpass_exposure_weight
 from repro.physics.retention import retained_voltage
@@ -43,6 +43,10 @@ from repro.physics.wear import read_disturb_damage, retention_damage
 #: plus slack for disturb drift of high cells), so sensing skips the
 #: expensive whole-block materialization.
 _CUTOFF_CHECK_VPASS = 505.0
+
+#: Cells per chunk of the decode path's sense loop: a chunk's three
+#: float64 buffers (~768 KiB) stay in the CPU cache.
+_SENSE_CHUNK_CELLS = 32 * 1024
 
 
 def _unique_sorted(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -436,20 +440,35 @@ class FlashBlock:
             v_ret, exposure, susceptibility, self.pe_cycles
         )
 
-    def _materialize_rows(self, wordlines: np.ndarray | slice, now: float) -> np.ndarray:
+    def _materialize_rows(
+        self,
+        wordlines: np.ndarray | slice,
+        now: float,
+        buffers: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Fused, allocation-lean :meth:`current_voltages`.
 
         Performs the exact elementwise operation sequence of the composed
         physics chain (same grouping of every multiply, so the results
         are bit-identical — the equivalence suite asserts this) with
-        in-place ufuncs over four buffers.  This is the kernel behind the
-        hot sensing paths; :meth:`current_voltages` stays the readable
-        reference composition.
+        in-place ufuncs over three float64 buffers.  The retention sign
+        rides on the per-wordline ``k`` column rather than on every cell:
+        ``(-leak) * k == leak * (-k)`` because IEEE negation commutes with
+        rounding.  This is the kernel behind every sensing path;
+        :meth:`current_voltages` stays the readable reference
+        composition.
+
+        *buffers*, when given, holds the three ``(rows, bitlines)``
+        float64 arrays the chain runs in (the result is ``buffers[0]``);
+        the chunked decode loop passes the same ones for every chunk.
         """
         cells = self.cells
-        v0 = cells.v0[wordlines].astype(np.float64)
-        work = cells.leak[wordlines].astype(np.float64)
-        scratch = cells.susceptibility[wordlines].astype(np.float64)
+        stored = cells.v0[wordlines]
+        if buffers is None:
+            # Separate arrays: a cached result must not pin the scratch.
+            buffers = [np.empty(stored.shape, dtype=np.float64) for _ in range(3)]
+        work, scratch, v0 = buffers
+        np.copyto(v0, stored)
         pe = self.pe_cycles
         # Retention: vr = max(v0 - leak*k*max(v0 - floor, 0), min(v0, floor)).
         k = np.maximum(now - self.program_time[wordlines], 0.0)[..., None]
@@ -457,9 +476,10 @@ class FlashBlock:
         np.log1p(k, out=k)
         k *= constants.R_RET * float(retention_damage(pe))
         k /= 512.0
-        charge = v0 - constants.RET_CHARGE_FLOOR
+        np.negative(k, out=k)
+        charge = np.subtract(v0, constants.RET_CHARGE_FLOOR, out=scratch)
         np.maximum(charge, 0.0, out=charge)
-        np.negative(work, out=work)
+        np.copyto(work, cells.leak[wordlines])
         work *= k
         work *= charge
         work += v0
@@ -467,6 +487,7 @@ class FlashBlock:
         np.maximum(work, charge, out=work)
         # Disturb drift: V = log(exp(k_v*vr) + k_v*(A*susc*damage)*E) / k_v.
         model = self.disturb_model
+        np.copyto(scratch, cells.susceptibility[wordlines])
         scratch *= model.amplitude
         scratch *= float(read_disturb_damage(pe))
         scratch *= model.k_v
@@ -533,7 +554,7 @@ class FlashBlock:
             above = cached > vpass
             return (above.sum(axis=0) - above[wordline]) > 0
         others = np.arange(self.geometry.wordlines_per_block) != wordline
-        voltages = self.current_voltages(now, others)
+        voltages = self._materialize_rows(others, now)
         return (voltages > vpass).any(axis=0)
 
     def read_page(
@@ -714,20 +735,21 @@ class FlashBlock:
     ) -> np.ndarray:
         """Batched :meth:`page_error_count`: raw bit errors per page.
 
-        Sensing and the ground-truth comparison are fused per unique
-        wordline (both page kinds at once), so a whole block's error
-        profile costs one materialization plus a handful of vectorized
-        passes.
+        Materialization, sensing and the ground-truth comparison run
+        together over cache-sized chunks of wordlines (both page kinds at
+        once, see :meth:`_page_error_flags`), so a whole block's error
+        profile never builds a full-block voltage matrix.
 
         **Bit-identity.**  Counts equal a non-recording scalar
         :meth:`page_error_count` loop exactly (equivalence suite:
         ``tests/flash/test_batched_sensing.py``, including relaxed-Vpass
-        cutoff cases); as in :meth:`read_pages`, recording (when
-        enabled) charges the batch's disturb after sensing.
+        cutoff cases and multi-chunk geometries); as in
+        :meth:`read_pages`, recording (when enabled) charges the batch's
+        disturb after sensing.
 
-        **Cache precondition.**  Same ``(now, voltage_epoch)`` cache
-        contract as :meth:`read_pages`: call
-        :meth:`invalidate_voltage_cache` after any out-of-band mutation.
+        **No cache.**  Every call materializes afresh and neither reads
+        nor warms the :meth:`block_voltages` cache, so out-of-band
+        mutations are always seen.
         """
         pages = np.asarray(pages, dtype=np.int64)
         if pages.size == 0:
@@ -755,11 +777,11 @@ class FlashBlock:
 
         The position-level companion of :meth:`page_error_counts` for
         decoders that need more than a count (the RS engine decodes the
-        mask as a received word).  Both methods share one fused
+        mask as a received word).  Both methods share one chunked
         sense-and-compare kernel, so
         ``page_error_masks(...).sum(axis=1) == page_error_counts(...)``
-        bit-for-bit, under the same disturb-recording and ``(now,
-        voltage_epoch)`` cache contract.
+        bit-for-bit, under the same disturb-recording contract (and
+        likewise bypassing the voltage cache).
         """
         pages = np.asarray(pages, dtype=np.int64)
         if pages.size == 0:
@@ -782,40 +804,79 @@ class FlashBlock:
         references: ReadReferences,
         vpass: float,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Fused sense-and-compare shared by the count and mask paths.
+        """Cache-blocked sense-and-compare shared by the count and mask
+        paths.
 
         Returns ``(wordlines, inverse, errors_lsb, errors_msb)`` — the
-        per-unique-wordline boolean error matrices for both page kinds,
-        one voltage materialization total.
+        per-unique-wordline boolean error matrices for both page kinds.
+
+        One loop walks the wordlines to materialize in chunks of
+        :data:`_SENSE_CHUNK_CELLS` cells: each chunk is materialized
+        (:meth:`_materialize_rows`) into three call-local buffers and
+        compared against the read references and the ground truth
+        straight into the error matrices, so no full-block float64 matrix
+        is ever built.  At nominal Vpass the loop visits only the sensed
+        wordlines; at relaxed Vpass it visits every wordline, counting
+        the cells above *vpass* per bitline for the cutoff fix-up applied
+        after the loop.  The path bypasses the voltage cache: the backend
+        charges a flush's disturb just before decoding it, so a cached
+        materialization could never be reused here.  Every step is
+        elementwise in the same operation order as the unchunked chain,
+        so the flags are bit-identical for any chunking.
         """
         if pages.min() < 0 or pages.max() >= self.geometry.pages_per_block:
             raise IndexError("page out of range in batched error count")
         wordlines = pages // 2
         unique_wordlines, inverse = _unique_sorted(wordlines)
-        if vpass < _CUTOFF_CHECK_VPASS:
-            full = self.block_voltages(now)
-            above = full > vpass
-            above_counts = above.sum(axis=0)
-            cutoff = (above_counts[None, :] - above[unique_wordlines]) > 0
-            voltages = full[unique_wordlines]
-        else:
-            cutoff = None
-            voltages = self._wordline_voltages(unique_wordlines, now)
-        states = self.cells.true_states[unique_wordlines]
-        # LSB page: sensed bit is V <= Vb (cut-off senses 0, erring wherever
-        # the true bit is 1); MSB page: V <= Va or V > Vc (cut-off senses 1).
-        expected_lsb = page_bits_from_states(states, False)
-        errors_lsb = voltages <= references.vb
-        np.not_equal(errors_lsb, expected_lsb, out=errors_lsb)
-        expected_msb = page_bits_from_states(states, True)
-        errors_msb = voltages <= references.va
-        errors_msb |= voltages > references.vc
-        np.not_equal(errors_msb, expected_msb, out=errors_msb)
-        if cutoff is not None:
-            # A cut-off bitline's sensed bit is fixed (LSB 0 / MSB 1), so
-            # its error flag is just the expected bit (or its complement).
-            np.copyto(errors_lsb, expected_lsb.astype(bool), where=cutoff)
-            np.copyto(errors_msb, expected_msb == 0, where=cutoff)
+        bitlines = self.geometry.bitlines_per_block
+        relaxed = vpass < _CUTOFF_CHECK_VPASS
+        visit = (
+            np.arange(self.geometry.wordlines_per_block) if relaxed else unique_wordlines
+        )
+        rows = min(max(1, _SENSE_CHUNK_CELLS // bitlines), visit.size)
+        buffers = np.empty((3, rows, bitlines), dtype=np.float64)
+        above_vc = np.empty((rows, bitlines), dtype=bool)
+        errors_lsb = np.empty((unique_wordlines.size, bitlines), dtype=bool)
+        errors_msb = np.empty_like(errors_lsb)
+        if relaxed:
+            above = np.empty((rows, bitlines), dtype=bool)
+            above_counts = np.zeros(bitlines, dtype=np.int64)
+            above_sensed = np.empty_like(errors_lsb)
+        for start in range(0, visit.size, rows):
+            chunk = visit[start:start + rows]
+            n = chunk.size
+            first = int(chunk[0])
+            if chunk[-1] - first == n - 1:
+                chunk = slice(first, first + n)
+            voltages = self._materialize_rows(chunk, now, buffers[:, :n])
+            if relaxed:
+                chunk_above = np.greater(voltages, vpass, out=above[:n])
+                above_counts += chunk_above.sum(axis=0)
+                lo, hi = np.searchsorted(unique_wordlines, (first, first + n))
+                if lo == hi:
+                    continue
+                if hi - lo < n:
+                    chunk = unique_wordlines[lo:hi]
+                    voltages = voltages[chunk - first]
+                    chunk_above = chunk_above[chunk - first]
+                above_sensed[lo:hi] = chunk_above
+            else:
+                lo, hi = start, start + n
+            states = self.cells.true_states[chunk]
+            # LSB page: sensed bit is V <= Vb; MSB page: V <= Va or V > Vc.
+            errors = np.less_equal(voltages, references.vb, out=errors_lsb[lo:hi])
+            np.not_equal(errors, lsb_of_state(states).view(bool), out=errors)
+            errors = np.less_equal(voltages, references.va, out=errors_msb[lo:hi])
+            errors |= np.greater(voltages, references.vc, out=above_vc[: hi - lo])
+            np.not_equal(errors, msb_of_state(states).view(bool), out=errors)
+        if relaxed:
+            # A cut-off bitline (some *other* wordline above vpass) senses
+            # a fixed bit (LSB 0 / MSB 1), so its error flag is just the
+            # expected bit (or its complement).
+            cutoff = above_counts > above_sensed
+            states = self.cells.true_states[unique_wordlines]
+            np.copyto(errors_lsb, lsb_of_state(states).view(bool), where=cutoff)
+            np.copyto(errors_msb, msb_of_state(states) == 0, where=cutoff)
         return wordlines, inverse, errors_lsb, errors_msb
 
     def measure_block_rber(
@@ -829,7 +890,7 @@ class FlashBlock:
         excluded from disturb accounting, like a characterization pass).
 
         Runs on :meth:`page_error_counts`, so the whole block is measured
-        from a single voltage materialization.  With ``record_disturb``
+        in one chunked sense-and-compare pass.  With ``record_disturb``
         on, every page is sensed at the entry exposure and the
         measurement's disturb is charged afterwards in one batch — unlike
         the historical per-page loop, where each measurement read

@@ -81,4 +81,4 @@ def state_transition_matrix(
 def page_bits_from_states(states: np.ndarray, is_msb: bool) -> np.ndarray:
     """Ground-truth bits of a page given the programmed states."""
     states = np.asarray(states)
-    return (msb_of_state(states) if is_msb else lsb_of_state(states)).astype(np.uint8)
+    return msb_of_state(states) if is_msb else lsb_of_state(states)

@@ -47,6 +47,12 @@ _STATE_TABLE = np.full((2, 2), -1, dtype=np.int8)
 for _state, (_lsb, _msb) in _STATE_TO_BITS.items():
     _STATE_TABLE[_lsb, _msb] = int(_state)
 
+#: The lookup tables packed into bitmasks: bit ``s`` is the page bit of
+#: state ``s``, so a bit extraction is one shift and one mask instead of
+#: a table gather.
+_LSB_MASK = sum(int(bit) << state for state, bit in enumerate(_LSB_TABLE))
+_MSB_MASK = sum(int(bit) << state for state, bit in enumerate(_MSB_TABLE))
+
 
 def state_to_bits(state: MlcState) -> tuple[int, int]:
     """Return the (LSB, MSB) tuple stored by *state*."""
@@ -68,14 +74,25 @@ def _as_index(states: np.ndarray) -> np.ndarray:
     return states
 
 
+def _bit_of_state(mask: int, states: np.ndarray) -> np.ndarray:
+    """``(mask >> states) & 1`` as uint8, computed in the states' dtype."""
+    states = _as_index(states)
+    bits = np.empty(states.shape, dtype=states.dtype)
+    np.right_shift(states.dtype.type(mask), states, out=bits)
+    np.bitwise_and(bits, 1, out=bits)
+    if bits.dtype.itemsize == 1:
+        return bits.view(np.uint8)
+    return bits.astype(np.uint8)
+
+
 def lsb_of_state(states: np.ndarray) -> np.ndarray:
     """Vectorized LSB extraction for an integer state array."""
-    return _LSB_TABLE[_as_index(states)]
+    return _bit_of_state(_LSB_MASK, states)
 
 
 def msb_of_state(states: np.ndarray) -> np.ndarray:
     """Vectorized MSB extraction for an integer state array."""
-    return _MSB_TABLE[_as_index(states)]
+    return _bit_of_state(_MSB_MASK, states)
 
 
 def states_from_bits(lsb: np.ndarray, msb: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.flash import FlashBlock, FlashGeometry
+from repro.flash.block import _SENSE_CHUNK_CELLS
 from repro.flash.sensing import DEFAULT_REFERENCES, sense_page, sense_pages
 from repro.rng import RngFactory
 from repro.units import days
@@ -19,6 +20,11 @@ from repro.units import days
 #: nominal and deeply relaxed pass-through voltage (the latter activates
 #: the cutoff-mask path).
 VPASS_CASES = (512.0, 430.0)
+
+#: (wordlines, bitlines) of the sense-kernel equivalence blocks: a single
+#: chunk, many chunks, and a wordline count that is not a multiple of the
+#: chunk rows.
+SENSE_GEOMETRIES = ((8, 512), (64, 4096), (13, 4096))
 
 
 def make_block(seed=7, pe=8000, reads=200_000, wordlines=8, bitlines=512):
@@ -58,21 +64,31 @@ def test_read_pages_matches_scalar_loop(vpass):
 
 @pytest.mark.parametrize("vpass", VPASS_CASES)
 def test_page_error_counts_match_scalar_loop(vpass):
-    blk = make_block()
-    pages = np.arange(blk.geometry.pages_per_block)
-    batched = blk.page_error_counts(pages, now=days(2), vpass=vpass)
-    scalar = scalar_error_counts(blk, pages, days(2), vpass)
-    assert np.array_equal(batched, scalar)
-    # Unsorted input with duplicates takes the np.unique fallback path.
-    shuffled = np.array([9, 1, 1, 14, 0, 9, 5])
-    assert np.array_equal(
-        blk.page_error_counts(shuffled, now=days(2), vpass=vpass),
-        scalar_error_counts(blk, shuffled, days(2), vpass),
-    )
-    if vpass < 512.0:
-        # The relaxed-Vpass case must actually exercise cutoff errors,
-        # otherwise this equivalence proves less than it claims.
-        assert batched.sum() > scalar_error_counts(blk, pages, days(2), 512.0).sum()
+    # The 4096-bitline blocks must really span several chunks, and the
+    # second must end on a partial one.
+    rows = _SENSE_CHUNK_CELLS // 4096
+    assert SENSE_GEOMETRIES[1][0] > rows and SENSE_GEOMETRIES[2][0] % rows
+    for wordlines, bitlines in SENSE_GEOMETRIES:
+        blk = make_block(wordlines=wordlines, bitlines=bitlines)
+        n = blk.geometry.pages_per_block
+        page_sets = (
+            np.arange(n),  # contiguous, the whole block
+            np.arange(n // 4, 3 * n // 4),  # contiguous, starting mid-chunk
+            np.arange(1, n, 3),  # non-contiguous wordlines
+            # Unsorted input with duplicates takes the np.unique fallback.
+            np.array([9, 1, 1, 14, 0, 9, 5, n - 1, n - 1]),
+        )
+        for pages in page_sets:
+            batched = blk.page_error_counts(pages, now=days(2), vpass=vpass)
+            assert np.array_equal(batched, scalar_error_counts(blk, pages, days(2), vpass))
+            masks = blk.page_error_masks(pages, now=days(2), vpass=vpass)
+            assert np.array_equal(masks.sum(axis=1), batched)
+        if vpass < 512.0:
+            # The relaxed-Vpass case must actually exercise cutoff errors,
+            # otherwise this equivalence proves less than it claims.
+            pages = page_sets[0]
+            nominal = blk.page_error_counts(pages, now=days(2), vpass=512.0)
+            assert blk.page_error_counts(pages, now=days(2), vpass=vpass).sum() > nominal.sum()
 
 
 def test_fused_materialization_matches_reference_composition():

@@ -65,8 +65,8 @@ CORE_GATED_FLOORS = [
 #: keys that must exist per section even when no floor binds (so a bench
 #: cannot silently stop recording a row the README table quotes).
 REQUIRED_KEYS = {
-    "engine_throughput": ["flash_chip_seconds", "flash_chip_trace_ops"],
-    "physics_hotpath": ["decode_relaxed_pages_per_sec_batched"],
+    "engine_throughput": ["cpu_count", "flash_chip_seconds", "flash_chip_trace_ops"],
+    "physics_hotpath": ["cpu_count", "decode_relaxed_pages_per_sec_batched"],
     "sweep_parallel": ["cpu_count", "seconds_workers_1"],
     "intra_scenario": ["cpu_count", "seconds_serial", "serial_ops_per_sec"],
     "process_executor": ["cpu_count", "seconds_serial", "serial_ops_per_sec"],
